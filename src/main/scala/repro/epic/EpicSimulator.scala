@@ -17,6 +17,9 @@ import repro.items.Adoption
   * The propagation loop is push-on-change: a node whose adoption set grew
   * at step `t-1` pushes its adoption mask along its (live) out-edges at
   * step `t`; receivers union desires and re-run the adoption rule.
+  * Every adoption in a world goes through one [[Adoption.Memo]] over its
+  * utility table; `EpicPregel` calls `Adoption.adopt` directly and so
+  * stays the unmemoized oracle.
   */
 object EpicSimulator {
 
@@ -51,12 +54,13 @@ object EpicSimulator {
     val desire = new Array[Int](n)
     val adoption = new Array[Int](n)
     val edgeState = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
+    val memo = new Adoption.Memo(util) // the utility table is fixed within the world
 
     var frontier = new scala.collection.mutable.ArrayBuffer[Int]()
     // t = 1: seeds desire their allocation and adopt the best subset.
     for ((v, mask) <- alloc if mask != 0) {
       desire(v) |= mask
-      val a = Adoption.adoptSeed(util, desire(v))
+      val a = memo.adopt(desire(v), 0)
       if (a != adoption(v)) { adoption(v) = a; frontier += v }
     }
 
@@ -96,7 +100,7 @@ object EpicSimulator {
       while (ti < touched.length) {
         val v = touched(ti)
         inTouched(v) = false
-        val a = Adoption.adopt(util, desire(v), adoption(v))
+        val a = memo.adopt(desire(v), adoption(v))
         if (a != adoption(v)) { adoption(v) = a; next += v }
         ti += 1
       }

@@ -5,14 +5,15 @@ import java.util.SplittableRandom
 import org.apache.spark.sql.{DataFrame, SparkSession}
 
 import repro.graph.SocialGraph
+import repro.im.RRSets
 import repro.items.UtilityModel
 
 /** Monte-Carlo estimate of expected social welfare `rho(S)` and expected
   * adoption count `alpha(S)` of an allocation (§3.3, §4.1).
   *
   * Each run is an independent possible world: run `r` samples a noise
-  * world (utility table) and an edge world from `mix(seed, r)` and plays
-  * the deterministic EPIC diffusion. Runs are embarrassingly parallel, so
+  * world (utility table) and an edge world from `RRSets.mix(seed, r)` and
+  * plays the deterministic EPIC diffusion. Runs are embarrassingly parallel, so
   * they are distributed over Spark with the graph, allocation and utility
   * model broadcast once.
   */
@@ -22,12 +23,16 @@ object Welfare {
     def runs: Int = perRunWelfare.length
     def welfare: Double = perRunWelfare.sum / runs
     def adoptions: Double = perRunAdoptions.map(_.toDouble).sum / runs
-  }
 
-  private def mix(seed: Long, r: Long): Long = {
-    var z = seed + r * 0x9E3779B97F4A7C15L
-    z = (z ^ (z >>> 30)) * 0xBF58476D1CE4E5B9L
-    (z ^ (z >>> 31))
+    /** Monte-Carlo standard error of `welfare`: the sample standard
+      * deviation of the per-run welfare over `sqrt(runs)`; 0 for one run.
+      */
+    def stderr: Double =
+      if (runs < 2) 0.0
+      else {
+        val m = welfare
+        math.sqrt(perRunWelfare.map(w => (w - m) * (w - m)).sum / (runs - 1) / runs)
+      }
   }
 
   def estimate(spark: SparkSession, g: SocialGraph, alloc: Map[Int, Int],
@@ -39,7 +44,7 @@ object Welfare {
     val rows = sc
       .parallelize(0 until runs, math.min(runs, sc.defaultParallelism * 2))
       .map { r =>
-        val rng = new SplittableRandom(mix(seed, r.toLong))
+        val rng = new SplittableRandom(RRSets.mix(seed, r.toLong))
         val util = bModel.value.sampleUtilityTable(rng)
         val adoption = EpicSimulator.diffuse(bG.value, bAlloc.value, util, rng)
         (EpicSimulator.welfare(util, adoption), EpicSimulator.adoptionCount(adoption))

@@ -23,6 +23,9 @@ object MaxCover {
     */
   def nodeSelection(rr: collection.IndexedSeq[Array[Int]], k: Int, n: Int,
                     forbidden: Set[Int] = Set.empty): CoverResult = {
+    val total = rr.foldLeft(0L)(_ + _.length)
+    require(total <= Int.MaxValue - 8,
+      s"${rr.length} RR sets hold $total members, more than one Int-indexed array can hold")
     val counts = new Array[Int](n)
     // inverted index: node -> ids of RR sets containing it
     val idxOff = new Array[Int](n + 1)

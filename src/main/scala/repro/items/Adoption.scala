@@ -41,6 +41,56 @@ object Adoption {
     */
   def adoptSeed(util: Array[Double], allocated: Int): Int = adopt(util, allocated, 0)
 
+  /** [[adopt]] memoized on `(desire, prev)` for one fixed utility table,
+    * i.e. one possible world.
+    *
+    * A world asks the rule once for every node whose desire grows, but for
+    * few distinct pairs (greedyWM's nested prefixes make nodes desire the
+    * same itemsets), and one call enumerates up to `2^|desire \ prev|`
+    * submasks. The table is
+    * open-addressing over primitive arrays, keyed on
+    * `(desire << 32) | prev`; since `k <= UtilityModel.MaxItems`, no key
+    * is negative and `-1` marks an empty slot. A miss calls [[adopt]], so
+    * results are identical to it by construction.
+    */
+  final class Memo(util: Array[Double]) {
+    private var keys = Array.fill(64)(-1L)
+    private var vals = new Array[Int](64)
+    private var size = 0
+
+    def adopt(desire: Int, prev: Int): Int = {
+      val key = (desire.toLong << 32) | (prev & 0xFFFFFFFFL)
+      val i = find(key)
+      if (keys(i) == key) vals(i)
+      else {
+        val a = Adoption.adopt(util, desire, prev)
+        keys(i) = key; vals(i) = a; size += 1
+        if (2 * size > keys.length) grow()
+        a
+      }
+    }
+
+    /** The slot holding `key`, or the empty slot where it belongs. */
+    private def find(key: Long): Int = {
+      val mask = keys.length - 1
+      val h = key * 0x9E3779B97F4A7C15L
+      var i = (h ^ (h >>> 32)).toInt & mask
+      while (keys(i) != -1L && keys(i) != key) i = (i + 1) & mask
+      i
+    }
+
+    private def grow(): Unit = {
+      val oldKeys = keys; val oldVals = vals
+      keys = Array.fill(oldKeys.length * 2)(-1L)
+      vals = new Array[Int](oldKeys.length * 2)
+      var j = 0
+      while (j < oldKeys.length) {
+        if (oldKeys(j) != -1L) { val i = find(oldKeys(j)); keys(i) = oldKeys(j); vals(i) = oldVals(j) }
+        j += 1
+      }
+    }
+  }
+
   /** True iff `mask` is a local maximum of `util` (its utility is the max
     * over all its subsets) — the invariant of Lemma 3, used in tests.
     */

@@ -158,6 +158,8 @@ object NoiseSpec {
   */
 final case class UtilityModel(valuation: Valuation, prices: Array[Double], noise: NoiseSpec)
     extends Serializable {
+  require(valuation.k <= UtilityModel.MaxItems,
+    s"k = ${valuation.k} items exceeds the supported maximum of ${UtilityModel.MaxItems}")
   require(prices.length == valuation.k && noise.k == valuation.k)
   def k: Int = valuation.k
 
@@ -187,6 +189,14 @@ final case class UtilityModel(valuation: Valuation, prices: Array[Double], noise
   /** Sample a noise world and return its utility table. */
   def sampleUtilityTable(rng: SplittableRandom): Array[Double] =
     utilityTable(noise.sample(rng))
+}
+
+object UtilityModel {
+  /** Largest supported item count: utility tables hold `2^k` doubles, and
+    * `Adoption.Memo` packs a desire and a previous-adoption mask into one
+    * `Long` key.
+    */
+  val MaxItems: Int = 20
 }
 
 /** Set-function property checks used by tests and configuration builders. */

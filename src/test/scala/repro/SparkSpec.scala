@@ -7,10 +7,11 @@ import org.scalatest.funsuite.AnyFunSuite
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
-  * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup
-  * limit). Broadcast joins are disabled so shuffle/join papers actually
-  * exercise the shuffle path at SF~=0.1; re-enable per-query if the
-  * paper's contribution is the broadcast side.
+  * SPARK_DRIVER_MEM (4g when unset). The tests use Spark for Monte-Carlo
+  * welfare runs and RR-set batches over a broadcast graph, GraphX Pregel
+  * diffusion, and the DataFrame statistics that are oracle-checked against
+  * DuckDB; automatic broadcast joins are off so those DataFrame plans stay
+  * the same whatever the table sizes.
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared

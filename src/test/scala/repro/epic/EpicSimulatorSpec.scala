@@ -5,6 +5,7 @@ import java.util.SplittableRandom
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.PropHelpers
+import repro.core.Configs
 import repro.graph.{GraphGen, SocialGraph}
 import repro.items._
 
@@ -130,6 +131,57 @@ class EpicSimulatorSpec extends AnyFunSuite with PropHelpers {
       assert(math.abs(EpicSimulator.welfare(util, adoption) - w) < 1e-9)
       assert(EpicSimulator.adoptionCount(adoption) == c)
     }
+  }
+
+  test("memoized diffusion equals an unmemoized reference run (k = 10, Config 10)") {
+    val model = Configs.config10(10).model
+    var adopted = 0L
+    forSeeds(10) { s =>
+      val graph = GraphGen.uniformDirected("t", 400, 4000, seed = s)
+      val rng = new SplittableRandom(s)
+      // nested prefixes of a random item order, as greedyWM allocates
+      val order = rng.ints(0, 10).distinct().limit(10).toArray
+      val alloc = (0 until 30).map { _ =>
+        rng.nextInt(400) -> order.take(1 + rng.nextInt(10)).foldLeft(0)((m, i) => m | (1 << i))
+      }.toMap
+      val util = model.sampleUtilityTable(rng)
+      val world = rng.nextLong()
+      val got = EpicSimulator.diffuse(graph, alloc, util, new SplittableRandom(world))
+      val want = referenceDiffuse(graph, alloc, util, new SplittableRandom(world))
+      assert(got.toSeq == want.toSeq, s"seed=$s")
+      adopted += EpicSimulator.adoptionCount(got)
+    }
+    assert(adopted > 0)
+  }
+
+  /** The EPIC loop restated plainly, calling `Adoption.adopt` directly and
+    * flipping edge coins in the simulator's order (frontier, then CSR).
+    */
+  private def referenceDiffuse(g: SocialGraph, alloc: Map[Int, Int], util: Array[Double],
+                               rng: SplittableRandom): Array[Int] = {
+    val desire = new Array[Int](g.n)
+    val adoption = new Array[Int](g.n)
+    val edge = new Array[Byte](g.fwdDst.length) // 0 untested, 1 live, 2 blocked
+    var frontier = Vector.empty[Int]
+    for ((v, mask) <- alloc if mask != 0) {
+      desire(v) |= mask
+      val a = Adoption.adopt(util, desire(v), 0)
+      if (a != adoption(v)) { adoption(v) = a; frontier :+= v }
+    }
+    while (frontier.nonEmpty) {
+      val touched = scala.collection.mutable.LinkedHashSet.empty[Int]
+      for (u <- frontier; e <- g.fwdOff(u) until g.fwdOff(u + 1)) {
+        if (edge(e) == 0) edge(e) = if (rng.nextDouble() < g.fwdProb(e)) 1 else 2
+        val v = g.fwdDst(e)
+        if (edge(e) == 1 && (adoption(u) & ~desire(v)) != 0) { desire(v) |= adoption(u); touched += v }
+      }
+      frontier = Vector.empty
+      for (v <- touched) {
+        val a = Adoption.adopt(util, desire(v), adoption(v))
+        if (a != adoption(v)) { adoption(v) = a; frontier :+= v }
+      }
+    }
+    adoption
   }
 
   test("hash01 is uniform-ish and deterministic") {

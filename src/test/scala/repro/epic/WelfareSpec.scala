@@ -15,6 +15,8 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
     assert(est.welfare == 15.0)
     assert(est.adoptions == 15.0)
     assert(est.perRunWelfare.forall(_ == 15.0))
+    assert(est.stderr == 0.0)
+    assert(Welfare.Estimate(Array(4.0), Array(1L)).stderr == 0.0) // a single run
   }
 
   test("MC estimate on the alternative allocation: welfare 11, adoptions 16") {
@@ -38,6 +40,9 @@ class WelfareSpec extends AnyFunSuite with SparkSpec {
     val est = Welfare.estimate(spark, g2, Map(0 -> 1), m1, runs = 4000, seed = 5)
     assert(math.abs(est.welfare - 1.5) < 0.05, s"got ${est.welfare}")
     assert(math.abs(est.adoptions - 1.5) < 0.05)
+    // per-run welfare is 1 or 2 with probability 1/2: SD 0.5
+    val closedForm = 0.5 / math.sqrt(4000)
+    assert(math.abs(est.stderr - closedForm) < 0.2 * closedForm, s"stderr ${est.stderr}")
   }
 
   test("noise shifts realised welfare run-to-run but preserves the mean") {

@@ -2,6 +2,8 @@ package repro.graph
 
 import org.scalatest.funsuite.AnyFunSuite
 
+import org.apache.spark.SparkEnv
+
 import repro.{Oracle, SparkSpec}
 
 class SocialGraphSpec extends AnyFunSuite with SparkSpec {
@@ -37,6 +39,41 @@ class SocialGraphSpec extends AnyFunSuite with SparkSpec {
     val g2 = SocialGraph.fromEdgesWithProb("p", 3, Array((0, 1, 0.25), (1, 2, 0.75)))
     assert(g2.fwdProb.toSeq.sorted == Seq(0.25, 0.75))
     assert(g2.revProb.toSeq.sorted == Seq(0.25, 0.75))
+  }
+
+  private def javaBytes(o: AnyRef): Array[Byte] = {
+    val bytes = new java.io.ByteArrayOutputStream()
+    val out = new java.io.ObjectOutputStream(bytes)
+    out.writeObject(o); out.close()
+    bytes.toByteArray
+  }
+
+  private def javaRoundTrip(g0: SocialGraph): SocialGraph =
+    new java.io.ObjectInputStream(new java.io.ByteArrayInputStream(javaBytes(g0)))
+      .readObject().asInstanceOf[SocialGraph]
+
+  private val wcGraph = GraphGen.doubanMovieLite()
+  // the zero-probability edge keeps this graph off the weighted-cascade form
+  private val probGraph = SocialGraph.fromEdgesWithProb("p", 4,
+    Array((0, 1, 0.5), (1, 2, 0.0), (0, 2, 0.25), (2, 3, 1.0), (3, 0, 1.0)))
+
+  test("wire form round-trips bit-identically through Spark's serializer and Java serialization") {
+    spark.sparkContext // SparkEnv exists once the session does
+    val ser = SparkEnv.get.serializer.newInstance()
+    for (g0 <- Seq(wcGraph, probGraph);
+         g1 <- Seq(ser.deserialize[SocialGraph](ser.serialize(g0)), javaRoundTrip(g0))) {
+      assert(g1 ne g0)
+      assert(g1.name == g0.name && g1.n == g0.n && g1.undirected == g0.undirected)
+      assert(java.util.Arrays.equals(g1.fwdOff, g0.fwdOff) && java.util.Arrays.equals(g1.fwdDst, g0.fwdDst))
+      assert(java.util.Arrays.equals(g1.fwdProb, g0.fwdProb) && java.util.Arrays.equals(g1.revProb, g0.revProb))
+      assert(java.util.Arrays.equals(g1.revOff, g0.revOff) && java.util.Arrays.equals(g1.revSrc, g0.revSrc))
+    }
+  }
+
+  test("wire form of a weighted-cascade graph omits its probabilities") {
+    val explicitArrays = javaBytes(Array[AnyRef](wcGraph.fwdOff, wcGraph.fwdDst, wcGraph.fwdProb,
+      wcGraph.revOff, wcGraph.revSrc, wcGraph.revProb)).length
+    assert(javaBytes(wcGraph).length < 0.45 * explicitArrays)
   }
 
   test("edgesDF round-trips through fromDF") {

@@ -52,6 +52,17 @@ class MaxCoverSpec extends AnyFunSuite {
     assert(res.covered(2) == 1)
   }
 
+  test("an RR collection with more than 2^31 members is rejected, not overflowed") {
+    // 65537 views of one 32768-node set: 2^31 + 32768 members in 128 KiB.
+    val shared = Array.range(0, 32768)
+    val rr = new IndexedSeq[Array[Int]] {
+      def length: Int = 65537
+      def apply(i: Int): Array[Int] = shared
+    }
+    val e = intercept[IllegalArgumentException](MaxCover.nodeSelection(rr, k = 1, n = 32768))
+    assert(e.getMessage.contains("65537 RR sets hold 2147516416 members"), e.getMessage)
+  }
+
   test("k greater than n is clamped") {
     val rr = IndexedSeq(Array(0), Array(1))
     val res = MaxCover.nodeSelection(rr, k = 10, n = 2)

@@ -118,6 +118,33 @@ class AdoptionSpec extends AnyFunSuite with PropHelpers {
     }
   }
 
+  test("Memo.adopt equals Adoption.adopt on random tables and call sequences (ScalaCheck)") {
+    import org.scalacheck.{Gen, Prop, Test}
+    import org.scalacheck.rng.Seed
+    // Integer-valued entries make ties (the union branch) common; a pool of
+    // (desire, prev ⊆ desire) pairs indexed with repetition makes hits
+    // common, and up to 200 distinct pairs make the table grow.
+    val world = for {
+      k <- Gen.choose(1, 10)
+      entries <- Gen.listOfN((1 << k) - 1,
+        Gen.oneOf(Gen.choose(-3, 3).map(_.toDouble), Gen.choose(-3.0, 3.0)))
+      pool <- Gen.choose(1, 200).flatMap(Gen.listOfN(_,
+        for (d <- Gen.choose(0, (1 << k) - 1); p <- Gen.choose(0, (1 << k) - 1)) yield (d, d & p)))
+      calls <- Gen.listOf(Gen.choose(0, pool.length - 1))
+    } yield (0.0 +: entries.toVector, pool.toVector, calls)
+    val prop = Prop.forAll(world) { case (table, pool, calls) =>
+      val util = table.toArray
+      val memo = new Adoption.Memo(util)
+      (pool.indices ++ calls ++ calls).forall { i =>
+        val (d, p) = pool(i)
+        memo.adopt(d, p) == Adoption.adopt(util, d, p)
+      }
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(300)
+      .withInitialSeed(Seed(2019L)), prop)
+    assert(res.passed, res.status.toString)
+  }
+
   /** Random supermodular utility: supermodular valuation (built like
     * Config 10) minus random modular price plus modular noise.
     */

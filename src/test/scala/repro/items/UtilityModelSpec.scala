@@ -71,6 +71,13 @@ class UtilityModelSpec extends AnyFunSuite with PropHelpers {
     assert(math.abs(varr - 4.0) < 0.25, s"var=$varr")
   }
 
+  test("k is capped at UtilityModel.MaxItems = 20 at construction") {
+    def additive(k: Int) = UtilityModel(AdditiveValuation(Array.fill(k)(2.0)), Array.fill(k)(1.0), NoiseSpec.none(k))
+    assert(additive(20).k == 20)
+    val e = intercept[IllegalArgumentException](additive(21))
+    assert(e.getMessage.contains("k = 21"), e.getMessage)
+  }
+
   test("model validates dimension agreement") {
     intercept[IllegalArgumentException] {
       UtilityModel(TwoItemValuation(1, 1, 3), Array(1.0), NoiseSpec.none(2))
